@@ -23,11 +23,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race soak for the parallel executor: all 25 seeded chaos schedules
-# with the worker fan engaged, under the race detector. `make race`
-# (part of check) already runs a bounded smoke slice of the same test;
-# this is the full pass for executor changes. Failing runs drop flight
-# dumps into $$ESG_FLIGHT_DIR next to their replay seeds.
+# Chaos race soak: all 25 seeded chaos schedules under the race
+# detector. `make race` (part of check) already runs a bounded smoke
+# slice of the same test; this is the full pass for event-core, simnet
+# and fault-path changes. Failing runs drop flight dumps into
+# $$ESG_FLIGHT_DIR next to their replay seeds.
 race-soak:
 	ESG_RACE_SOAK=full $(GO) test -race ./internal/experiments/ -run TestRaceSoak -count=1 -v
 

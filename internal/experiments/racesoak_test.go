@@ -6,19 +6,18 @@ import (
 	"testing"
 )
 
-// TestRaceSoak drives the parallel component executor through seeded
-// chaos schedules with the fan engaged, as prey for the race detector:
-// every flush that qualifies runs its per-component allocation passes on
-// worker lanes, concurrently with the advancing goroutine waiting on the
-// fan barrier, while faults force conservative sequential flushes in
-// between — the exact handoff pattern a worker-pool bug would corrupt.
-// The invariant audit still runs, but the point of this test is the
-// schedule diversity under `-race`, not byte-identity (the differential
+// TestRaceSoak drives seeded chaos schedules as prey for the race
+// detector: link outages, host crashes and restarts reset connections
+// and restructure allocator components while client, server and
+// recorder goroutines hand off through the event core — the teardown,
+// retry and flush paths a locking bug would corrupt. The invariant
+// audit still runs, but the point of this test is the schedule
+// diversity under `-race`, not byte-identity (the equal-seed repeat
 // suite owns that).
 //
 // Under a plain build the same schedules are already covered by
-// TestChaosSoak and the differential suite, so the soak only runs when
-// the race detector is on. `make race` (part of `make check`) runs a
+// TestChaosSoak and the repeat suite, so the soak only runs when the
+// race detector is on. `make race` (part of `make check`) runs a
 // bounded smoke slice; `make race-soak` sets ESG_RACE_SOAK=full for all
 // 25 schedules. A failed run's flight dump lands in $ESG_FLIGHT_DIR via
 // dumpFlightOnFailure, next to its replay seed.
@@ -35,20 +34,17 @@ func TestRaceSoak(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		seed := int64(4000 + i)
 		cfg := soakConfig(seed)
-		// Workers >= 4 per the acceptance criteria; alternating widths
-		// also exercises pool reconfiguration across runs.
-		cfg.Workers = 4 + 4*int(seed%2)
 		sched := ChaosScheduleFor(cfg, seed, faults)
 		run, err := RunChaosSchedule(cfg, sched)
 		if err != nil {
-			t.Errorf("replay: ChaosScheduleFor(soakConfig(%d), %d, %d) workers=%d: run error: %v",
-				seed, seed, faults, cfg.Workers, err)
+			t.Errorf("replay: ChaosScheduleFor(soakConfig(%d), %d, %d): run error: %v",
+				seed, seed, faults, err)
 			dumpFlightOnFailure(t, run, fmt.Sprintf("racesoak-seed%d", seed))
 			continue
 		}
 		if err := run.Report.Err(); err != nil {
-			t.Errorf("replay: ChaosScheduleFor(soakConfig(%d), %d, %d) workers=%d: %v",
-				seed, seed, faults, cfg.Workers, err)
+			t.Errorf("replay: ChaosScheduleFor(soakConfig(%d), %d, %d): %v",
+				seed, seed, faults, err)
 			dumpFlightOnFailure(t, run, fmt.Sprintf("racesoak-seed%d", seed))
 		}
 	}

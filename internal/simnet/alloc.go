@@ -58,7 +58,6 @@ func (n *Net) attachLocked(f *flow) {
 		return
 	}
 	n.csrGen++
-	n.markStructuralLocked()
 	refs := f.refs()
 	if cap(f.resPos) < len(refs) {
 		f.resPos = make([]int, len(refs))
@@ -79,7 +78,6 @@ func (n *Net) detachLocked(f *flow) {
 		return
 	}
 	n.csrGen++
-	n.markStructuralLocked()
 	for j, rr := range f.refs() {
 		r := rr.r
 		p := f.resPos[j]
@@ -155,36 +153,28 @@ func (n *Net) flushLocked() {
 	// marks in whatever order they reach the lock, and progressive
 	// filling's floating-point rounding depends on visit order — sorting
 	// by creation stamp makes every flush (and so every rate bit) a pure
-	// function of the event history, which is also what lets the
-	// parallel fan's canonical merge reproduce this path exactly.
+	// function of the event history.
 	sortFlowsBySeq(n.dirtyFlows)
 	sortResByID(n.dirtyRes)
-	// When workers are enabled and the instant is structurally quiet,
-	// the flush fans the per-component passes out to the worker pool
-	// (parflush.go) and merges in canonical order; otherwise this is
-	// the sequential reference path.
-	if !n.tryParallelFlushLocked(now) {
-		for _, f := range n.dirtyFlows {
-			f.dirty = false
-			if f.removed || !f.active || f.epoch == n.epoch {
-				continue
-			}
-			n.reallocComponentLocked(f, now)
+	for _, f := range n.dirtyFlows {
+		f.dirty = false
+		if f.removed || !f.active || f.epoch == n.epoch {
+			continue
 		}
-		for _, r := range n.dirtyRes {
-			r.dirty = false
-			// Every flow on r is in r's component; the first unvisited one
-			// pulls in all the others (and r itself) via the BFS.
-			for _, e := range r.flows {
-				if e.f.epoch != n.epoch {
-					n.reallocComponentLocked(e.f, now)
-				}
+		n.reallocComponentLocked(f, now)
+	}
+	for _, r := range n.dirtyRes {
+		r.dirty = false
+		// Every flow on r is in r's component; the first unvisited one
+		// pulls in all the others (and r itself) via the BFS.
+		for _, e := range r.flows {
+			if e.f.epoch != n.epoch {
+				n.reallocComponentLocked(e.f, now)
 			}
 		}
 	}
 	n.dirtyFlows = n.dirtyFlows[:0]
 	n.dirtyRes = n.dirtyRes[:0]
-	n.parUnsafe = false
 	if n.verifyAllocs {
 		n.verifyAllocationsLocked()
 	}

@@ -4,13 +4,13 @@ import "math"
 
 // allocScratch is the progressive-filling allocator's complete working
 // state: every scratch array the water-filling pass touches, plus the
-// CSR cache of the last flattened pass. Extracting it from Net (where
-// the arrays used to live as scr*/csr* fields) is what makes instant
-// parallelism possible: each worker lane owns one allocScratch, so
-// disjoint components can run allocation passes concurrently with no
-// shared mutable state — the pass reads only frozen per-instant inputs
-// (flow caps, resource capacities, membership edges) through the flow
-// pointers it is handed.
+// CSR cache of the last flattened pass. Keeping it in one struct, apart
+// from the Net's membership and flow state, makes the kernel's inputs
+// explicit: a pass reads flow caps, resource capacities and membership
+// edges only through the flow pointers it is handed, and writes only
+// here. The Net owns a single allocScratch that every allocation path
+// (flush, verification, estimation, reference recompute) reuses, so a
+// steady-state pass allocates nothing.
 //
 // The resource-indexed arrays (residual, wsum, ...) are sized to the
 // Net's global dense resource-id space and grown lazily; wsum carries
@@ -46,9 +46,7 @@ type allocScratch struct {
 	// next, so the flatten pass can be skipped and only the per-flow
 	// caps and per-resource residuals refreshed. The Net-owned csrGen
 	// invalidates the cache on any membership or edge change (attach,
-	// detach, disk rebinding); with static component-to-lane fan
-	// assignment a steady component hits the same scratch — and a warm
-	// cache — every flush.
+	// detach, disk rebinding).
 	csrFlows      []*flow
 	csrTouchedRes []*res
 	csrGenAt      uint64

@@ -118,7 +118,6 @@ func (f *flow) refs() []hostRes {
 func (f *flow) invalidateRefs() {
 	f.resRefs = nil
 	f.net.csrGen++
-	f.net.markStructuralLocked()
 }
 
 func newFlow(n *Net, c *Conn, dir int, src, dst *Host, path []*simplex, buffer int, mss int) *flow {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -452,4 +453,351 @@ func TestSameInstantEventsCoalesce(t *testing.T) {
 			c.Close()
 		}
 	})
+}
+
+// dirtyAll marks every active flow dirty, the way a burst of same-instant
+// window events would, with the flush latch held so tests drive flushes
+// by hand.
+func dirtyAll(n *Net, flows []*flow) {
+	n.mu.Lock()
+	n.flushPending = true
+	for _, f := range flows {
+		if f.active {
+			n.markFlowDirtyLocked(f)
+		}
+	}
+	n.mu.Unlock()
+}
+
+func flushByHand(n *Net) {
+	n.mu.Lock()
+	n.flushLocked()
+	n.mu.Unlock()
+}
+
+// TestFlushChurnMatchesReference drives two identical nets through the
+// same deterministic schedule of window changes mixed with structural
+// rounds (a flow detaching mid-instant splits its component; re-attaching
+// joins it again). With verification on, every flush is checked against
+// the reference allocator; across the two nets every flow's rate must
+// match bit for bit after every flush, and the allocation-pass accounting
+// must be identical.
+func TestFlushChurnMatchesReference(t *testing.T) {
+	nets := [2]*Net{}
+	flows := [2][]*flow{}
+	for k := range nets {
+		nets[k], flows[k] = buildBenchNet(96)
+		nets[k].SetVerifyAllocations(true)
+	}
+	mutate := func(n *Net, flows []*flow, round int) {
+		n.mu.Lock()
+		n.flushPending = true
+		if round%7 == 3 {
+			f := flows[round%len(flows)]
+			if f.active {
+				f.active = false
+				n.flowDeactivatedLocked(f)
+			}
+		}
+		if round%7 == 5 {
+			f := flows[(round-2)%len(flows)]
+			if !f.active {
+				f.active = true
+				n.flowActivatedLocked(f)
+			}
+		}
+		for i, f := range flows {
+			if !f.active {
+				continue
+			}
+			f.windowCap = float64(20+((round*13+i*7)%80)) * 1e6
+			n.markFlowDirtyLocked(f)
+		}
+		n.mu.Unlock()
+	}
+	for round := 0; round < 60; round++ {
+		for k := range nets {
+			mutate(nets[k], flows[k], round)
+			flushByHand(nets[k])
+		}
+		for i := range flows[0] {
+			a, b := flows[0][i].rate, flows[1][i].rate
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("round %d flow %d: equal nets diverged: %v vs %v", round, i, a, b)
+			}
+		}
+	}
+	ap, af := nets[0].AllocStats()
+	bp, bf := nets[1].AllocStats()
+	if ap != bp || af != bf {
+		t.Fatalf("alloc accounting diverged: (%d passes, %d flows) vs (%d, %d)", ap, af, bp, bf)
+	}
+}
+
+// TestStructuralInstantsMatchReference covers each structural change as
+// a mid-instant event on a hand-driven net — component split (detach),
+// component join (attach), and disk rebinding (edge change, which also
+// invalidates the CSR cache) — each followed by a flush checked against
+// the reference allocator, and a steady flush after it. Host-down and
+// reboot need live connections; TestHostDownRebootMatchesReference
+// covers them.
+func TestStructuralInstantsMatchReference(t *testing.T) {
+	n, flows := buildBenchNet(64)
+	n.SetVerifyAllocations(true)
+
+	step := func(name string, mutate func()) {
+		t.Helper()
+		before, _ := n.AllocStats()
+		n.mu.Lock()
+		n.flushPending = true
+		mutate()
+		n.mu.Unlock()
+		flushByHand(n)
+		if after, _ := n.AllocStats(); after == before {
+			t.Fatalf("%s: flush ran no allocation pass", name)
+		}
+		dirtyAll(n, flows)
+		flushByHand(n)
+	}
+
+	// The detach dirties only the departed flow's resources; the flows
+	// left on them must be re-allocated from those marks alone.
+	step("detach", func() {
+		flows[0].active = false
+		n.flowDeactivatedLocked(flows[0])
+	})
+	step("attach", func() {
+		flows[0].active = true
+		n.flowActivatedLocked(flows[0])
+	})
+	step("disk rebind", func() {
+		gen := n.csrGen
+		flows[1].diskBound = !flows[1].diskBound
+		flows[1].invalidateRefs()
+		if n.csrGen == gen {
+			t.Fatal("disk rebind did not invalidate the CSR cache")
+		}
+		n.markFlowDirtyLocked(flows[1])
+	})
+}
+
+// transferPairs runs conns concurrent transfers of total bytes across
+// each of pairs disjoint a<p>→b<p> site pairs and reports each
+// transfer's completion instant plus the allocator accounting. stagger
+// spaces the dials on one pair; zero puts every dial on the same
+// instant. Verification checks every flush against the reference
+// allocator.
+func transferPairs(t *testing.T, seed int64, pairs, conns int, total int64, loss float64, stagger time.Duration, verify bool) ([]time.Duration, uint64, uint64) {
+	t.Helper()
+	clk := vtime.NewSim(seed)
+	n := New(clk)
+	n.SetVerifyAllocations(verify)
+	for p := 0; p < pairs; p++ {
+		a := fmt.Sprintf("a%d", p)
+		b := fmt.Sprintf("b%d", p)
+		n.AddHost(a, HostConfig{DefaultBufferBytes: 1 << 20})
+		n.AddHost(b, HostConfig{DefaultBufferBytes: 1 << 20})
+		n.AddLink(a, b, LinkConfig{CapacityBps: 200e6, Delay: 3 * time.Millisecond, LossRate: loss})
+	}
+	done := make([]time.Duration, pairs*conns)
+	clk.Run(func() {
+		for p := 0; p < pairs; p++ {
+			l, err := n.Host(fmt.Sprintf("b%d", p)).Listen(":9000")
+			if err != nil {
+				t.Errorf("listen: %v", err)
+				return
+			}
+			for c := 0; c < conns; c++ {
+				clk.Go(func() {
+					cc, err := l.Accept()
+					if err != nil {
+						return
+					}
+					defer cc.Close()
+					transport.ReadVirtualFrom(cc, total)
+				})
+			}
+		}
+		wg := vtime.NewWaitGroup(clk)
+		for p := 0; p < pairs; p++ {
+			for c := 0; c < conns; c++ {
+				p, c := p, c
+				wg.Go(func() {
+					clk.Sleep(time.Duration(c) * stagger)
+					cc, err := n.Host(fmt.Sprintf("a%d", p)).Dial(fmt.Sprintf("b%d:9000", p))
+					if err != nil {
+						t.Errorf("dial: %v", err)
+						return
+					}
+					defer cc.Close()
+					if _, err := transport.WriteVirtualTo(cc, total); err != nil {
+						t.Errorf("write: %v", err)
+						return
+					}
+					done[p*conns+c] = clk.Now().Sub(vtime.Epoch)
+				})
+			}
+		}
+		wg.Wait()
+	})
+	passes, visited := n.AllocStats()
+	return done, passes, visited
+}
+
+// TestSameInstantCrossComponentDials: clients in two disjoint components
+// dial at the same virtual instant, so one flush attaches flows in two
+// components at once. Every flush must match the reference allocator,
+// the symmetric pairs must finish at the same instant, and an equal-seed
+// repeat must reproduce the run exactly.
+func TestSameInstantCrossComponentDials(t *testing.T) {
+	base, bp, bf := transferPairs(t, 11, 2, 1, 4<<20, 0, 0, true)
+	if base[0] == 0 || base[0] != base[1] {
+		t.Fatalf("symmetric same-instant transfers finished at %v and %v", base[0], base[1])
+	}
+	got, gp, gf := transferPairs(t, 11, 2, 1, 4<<20, 0, 0, true)
+	if !slices.Equal(got, base) || gp != bp || gf != bf {
+		t.Fatalf("equal-seed repeat diverged: %v (%d passes, %d flows) vs %v (%d, %d)",
+			got, gp, gf, base, bp, bf)
+	}
+}
+
+// TestLossyPairsRunByteIdentical runs four disjoint site pairs of four
+// lossy transfers each under the real event loop (loss draws RNG on the
+// flush path). An equal-seed repeat must complete every transfer at the
+// bit-identical virtual instant with identical allocator accounting, and
+// turning on reference verification must not perturb the run.
+func TestLossyPairsRunByteIdentical(t *testing.T) {
+	const stagger = 100 * time.Microsecond
+	base, bp, bf := transferPairs(t, 23, 4, 4, 2<<20, 1e-5, stagger, false)
+	for _, verify := range []bool{false, true} {
+		got, gp, gf := transferPairs(t, 23, 4, 4, 2<<20, 1e-5, stagger, verify)
+		if !slices.Equal(got, base) || gp != bp || gf != bf {
+			t.Fatalf("verify=%v: equal-seed repeat diverged: %v (%d passes, %d flows) vs %v (%d, %d)",
+				verify, got, gp, gf, base, bp, bf)
+		}
+	}
+}
+
+// TestMultiComponentFlushAllocFree pins a whole multi-component flush —
+// seed sort, per-component gather, allocation passes, rate application —
+// at zero steady-state allocations when every flow on 16 disjoint site
+// pairs is dirty at once.
+func TestMultiComponentFlushAllocFree(t *testing.T) {
+	n, flows := buildBenchNet(128)
+	caps := [2]float64{40e6, 80e6}
+	round := 0
+	cycle := func() {
+		n.mu.Lock()
+		n.flushPending = true
+		for _, f := range flows {
+			f.windowCap = caps[round%2]
+			n.markFlowDirtyLocked(f)
+		}
+		n.mu.Unlock()
+		flushByHand(n)
+		round++
+	}
+	for i := 0; i < 4; i++ {
+		cycle() // warm gather buffers and the CSR cache
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+		t.Errorf("multi-component flush allocates %.1f objects per instant, want 0", allocs)
+	}
+}
+
+// TestHostDownRebootMatchesReference crashes a server mid-transfer under
+// the real event loop. Client a0 sends to b0 and c0 over one shared
+// access link; crashing b0 resets its connection and detaches its flow,
+// so the a0→c0 flow must take the freed share at that flush, from the
+// dirty marks on the shared link alone. The a0→b0 client waits out the
+// outage, re-dials after reboot and sends the remainder. Every flush is
+// checked against the reference allocator, and the x1→y1 pair — a
+// disjoint component — must finish at exactly the instant it does in a
+// run with no crash at all.
+func TestHostDownRebootMatchesReference(t *testing.T) {
+	const total = int64(8 << 20)
+	transfers := [3][2]string{{"a0", "b0"}, {"a0", "c0"}, {"x1", "y1"}}
+	run := func(crash bool) (done [3]time.Duration, resets [3]int) {
+		clk := vtime.NewSim(5)
+		n := New(clk)
+		n.SetVerifyAllocations(true)
+		for _, h := range []string{"a0", "b0", "c0", "x1", "y1"} {
+			n.AddHost(h, HostConfig{DefaultBufferBytes: 1 << 20})
+		}
+		n.AddNode("r0")
+		n.AddLink("a0", "r0", LinkConfig{CapacityBps: 100e6, Delay: time.Millisecond})
+		n.AddLink("r0", "b0", LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
+		n.AddLink("r0", "c0", LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
+		n.AddLink("x1", "y1", LinkConfig{CapacityBps: 100e6, Delay: 2 * time.Millisecond})
+		clk.Run(func() {
+			for _, h := range []string{"b0", "c0", "y1"} {
+				l, err := n.Host(h).Listen(":9000")
+				if err != nil {
+					t.Errorf("listen: %v", err)
+					return
+				}
+				clk.Go(func() {
+					for {
+						c, err := l.Accept()
+						if err != nil {
+							return
+						}
+						clk.Go(func() {
+							defer c.Close()
+							transport.ReadVirtualFrom(c, total)
+						})
+					}
+				})
+			}
+			if crash {
+				clk.Go(func() {
+					clk.Sleep(200 * time.Millisecond)
+					n.Host("b0").SetDown(true)
+					clk.Sleep(500 * time.Millisecond)
+					n.Host("b0").SetDown(false)
+				})
+			}
+			wg := vtime.NewWaitGroup(clk)
+			for i, tr := range transfers {
+				wg.Go(func() {
+					left := total
+					for left > 0 {
+						c, err := n.Host(tr[0]).Dial(tr[1] + ":9000")
+						if err != nil {
+							clk.Sleep(100 * time.Millisecond) // host still down
+							continue
+						}
+						m, err := transport.WriteVirtualTo(c, left)
+						c.Close()
+						left -= m
+						if err != nil {
+							resets[i]++
+							clk.Sleep(100 * time.Millisecond)
+						}
+					}
+					done[i] = clk.Now().Sub(vtime.Epoch)
+				})
+			}
+			wg.Wait()
+		})
+		return done, resets
+	}
+	clean, _ := run(false)
+	crashed, resets := run(true)
+	if resets != [3]int{1, 0, 0} {
+		t.Fatalf("connection resets per transfer = %v, want the crashed server's one transfer only", resets)
+	}
+	if crashed[0] <= clean[0] {
+		t.Fatalf("a0→b0 finished at %v with the crash, no later than the clean run's %v", crashed[0], clean[0])
+	}
+	if crashed[1] >= clean[1] {
+		t.Fatalf("a0→c0 finished at %v with the crash, no earlier than the clean run's %v: it never took the freed share",
+			crashed[1], clean[1])
+	}
+	if crashed[2] != clean[2] {
+		t.Fatalf("disjoint x1→y1 finished at %v with a crash elsewhere, %v without", crashed[2], clean[2])
+	}
+	if again, _ := run(true); again != crashed {
+		t.Fatalf("equal-seed repeat diverged: %v vs %v", again, crashed)
+	}
 }

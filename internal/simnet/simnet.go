@@ -163,31 +163,16 @@ type Net struct {
 	allocPasses  uint64 // diagnostic: component allocation passes run
 	allocFlows   uint64 // diagnostic: flows visited across those passes
 
-	// Allocator working state. scr is the sequential scratch (flush,
+	// Allocator working state. scr is the allocator scratch (flush,
 	// verification, estimation and the reference recompute all share
 	// it); scrFlows/scrComp are the gather-side buffers the BFS and
 	// active-flow snapshots reuse. csrGen is the membership generation
-	// every scratch's CSR cache keys on — bumped by any attach, detach
-	// or edge change, it invalidates all cached flattens at once.
+	// the scratch's CSR cache keys on — bumped by any attach, detach or
+	// edge change, it invalidates the cached flatten.
 	scr      allocScratch
 	scrFlows []*flow
 	scrComp  []*flow
 	csrGen   uint64
-
-	// Parallel flush state (parflush.go): flat gathered-component
-	// buffers, per-worker-lane scratches, the structural-change latch
-	// that forces the conservative (sequential) merge path, and the
-	// flush-mode counters ParStats reports.
-	parComps    []int32
-	parFlows    []*flow
-	parRates    []float64
-	parScr      []*allocScratch
-	parNow      time.Duration
-	parRun      parRunner
-	parUnsafe   bool
-	parFlushes  uint64
-	consFlushes uint64
-	seqFlushes  uint64
 
 	// flushFn is the cached zero-delay flush callback, so arming a flush
 	// does not allocate a closure per event burst.
@@ -284,11 +269,9 @@ func New(clk *vtime.Sim) *Net {
 		dnsUp:     true,
 		nextPort:  40000,
 	}
-	n.parRun.n = n
 	n.flushFn = func() {
 		n.mu.Lock()
 		n.flushPending = false
-		//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 		n.flushLocked()
 		n.mu.Unlock()
 	}
@@ -333,12 +316,7 @@ func (n *Net) AttachFlight(rec *flight.Recorder) {
 func (n *Net) CSRStats() (hits, lookups uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	hits, lookups = n.scr.csrHits, n.scr.csrLookups
-	for _, sc := range n.parScr {
-		hits += sc.csrHits
-		lookups += sc.csrLookups
-	}
-	return hits, lookups
+	return n.scr.csrHits, n.scr.csrLookups
 }
 
 // AddNode registers a router/switch node with the given name.
@@ -563,7 +541,6 @@ func (l *Link) Utilization() float64 {
 	n := l.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 	n.flushLocked()
 	var fwd, rev float64
 	for _, e := range l.fwd.flows {
@@ -605,7 +582,6 @@ func (n *Net) EstimateBandwidth(a, b string) (float64, error) {
 	// The probe only contends with flows in its own component: gather it
 	// with the same epoch-stamped BFS the incremental allocator uses,
 	// instead of allocating over every active flow in the network.
-	//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 	n.flushLocked()
 	n.epoch++
 	comp := n.scrComp[:0]
@@ -657,10 +633,9 @@ func (n *Net) activeFlowsLocked() []*flow {
 // allocate computes the weighted max-min fair rate (bits/s) for each
 // flow in fs. The progressive-filling kernel and all of its scratch live
 // on allocScratch (allocscratch.go); this wrapper runs it on the Net's
-// own sequential scratch, which every serial path (flush, verification,
-// bandwidth estimation, the reference recompute) shares. Parallel
-// flushes use per-worker-lane scratches instead (parflush.go). The
-// returned slice is scratch and only valid until the next allocate call.
+// scratch, which every path (flush, verification, bandwidth estimation,
+// the reference recompute) shares. The returned slice is scratch and
+// only valid until the next allocate call.
 func (n *Net) allocate(fs []*flow) []float64 {
 	return n.scr.alloc(fs, n.nextResID, n.csrGen)
 }
@@ -693,7 +668,6 @@ func (n *Net) recomputeLocked() {
 func (n *Net) TotalBytesBetween(a, b string) float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 	n.flushLocked()
 	now := n.clk.Elapsed()
 	var total float64

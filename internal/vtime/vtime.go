@@ -260,11 +260,14 @@ func (wg *WaitGroup) Go(fn func()) {
 	})
 }
 
-// Wait blocks until the counter is zero.
+// Wait blocks until the counter is zero. The unlock is deferred because
+// cond.Wait re-locks wg.mu when the simulation-teardown panic unwinds
+// it; a plain trailing Unlock would leave the mutex held and block every
+// member's deferred Done forever, so Run would never finish its join.
 func (wg *WaitGroup) Wait() {
 	wg.mu.Lock()
+	defer wg.mu.Unlock()
 	for wg.n != 0 {
 		wg.cond.Wait()
 	}
-	wg.mu.Unlock()
 }

@@ -224,6 +224,29 @@ func TestSimTeardownUnwindsParkedGoroutines(t *testing.T) {
 	}
 }
 
+// TestTeardownWhileWaitGroupWaits: a goroutine parked in WaitGroup.Wait
+// when Run's main returns must release the group's mutex as the teardown
+// panic unwinds it, or a member still parked in Sleep blocks forever in
+// its deferred Done and Run never finishes joining managed goroutines.
+func TestTeardownWhileWaitGroupWaits(t *testing.T) {
+	s := NewSim(1)
+	returned := make(chan struct{})
+	go func() {
+		s.Run(func() {
+			wg := NewWaitGroup(s)
+			wg.Go(func() { s.Sleep(time.Hour) })
+			s.Go(func() { wg.Wait() })
+			s.Sleep(time.Second)
+		})
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return: a WaitGroup waiter kept the group's mutex through teardown")
+	}
+}
+
 func TestRealClockBasics(t *testing.T) {
 	var c Clock = Real{}
 	t0 := c.Now()

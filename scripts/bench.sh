@@ -16,7 +16,12 @@ printf '%s\n' "$raw" | grep -E '^Benchmark' || true
 
 printf '%s\n' "$raw" | awk -v out="$out" '
 /^Benchmark/ {
+    # Drop the -GOMAXPROCS suffix go test appends on multi-core hosts,
+    # so snapshots from hosts with different core counts share names
+    # and bench_diff.sh compares them instead of listing every
+    # benchmark as dropped and new.
     name = $1
+    sub(/-[0-9]+$/, "", name)
     ns = ""; allocs = ""
     for (i = 2; i < NF; i++) {
         if ($(i + 1) == "ns/op") ns = $i
